@@ -27,12 +27,14 @@ fn lane_specs(lanes: u64) -> Vec<LaneSpec> {
 
 /// One N-lane batch: golden run + shadow lanes (+ any de-opt replays).
 fn run_batched(program: &[u32], table: &[u32], gmem: &[(usize, Vec<u64>)], lanes: u64) -> usize {
-    let cfg = SocConfig {
-        compiled_schedule: true,
-        ..SocConfig::default()
-    };
-    let mut batch =
-        BatchSoc::build(cfg, program, table, gmem, lane_specs(lanes)).expect("hot link exists");
+    let mut batch = BatchSoc::build(
+        SocConfig::default(),
+        program,
+        table,
+        gmem,
+        lane_specs(lanes),
+    )
+    .expect("hot link exists");
     let rep = batch.run(MAX_CYCLES, NO_PROGRESS);
     assert_eq!(rep.converged_lanes + rep.deopt_lanes, lanes as usize);
     rep.converged_lanes
@@ -40,13 +42,9 @@ fn run_batched(program: &[u32], table: &[u32], gmem: &[(usize, Vec<u64>)], lanes
 
 /// The loop the batch replaces: one full build + inject + run per seed.
 fn run_serial(program: &[u32], table: &[u32], gmem: &[(usize, Vec<u64>)], lanes: u64) -> u64 {
-    let cfg = SocConfig {
-        compiled_schedule: true,
-        ..SocConfig::default()
-    };
     let mut cycles = 0;
     for spec in lane_specs(lanes) {
-        let mut soc = Soc::build(cfg, program, table, gmem);
+        let mut soc = Soc::build(SocConfig::default(), program, table, gmem);
         soc.inject_fault(&spec.pattern, spec.cfg, spec.seed)
             .expect("hot link exists");
         let r = soc

@@ -6,19 +6,32 @@
 //! (`--bin kernel_baseline`, `compiled_schedule` section).
 
 use craft_sim::{ActivityToken, ClockSpec, Component, Picoseconds, Simulator, TickCtx};
-use craft_soc::workloads::{run_workload_soc, vec_mul, Workload};
-use craft_soc::SocConfig;
+use craft_soc::workloads::{orchestrator_program, table_words, vec_mul, Workload};
+use craft_soc::{Soc, SocConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 
-/// One full workload run; returns instants as a liveness check.
+/// One full workload run — on the kernel's compiled plan, or with the
+/// plan disarmed onto the interpreted loop; returns instants as a
+/// liveness check.
 fn run_soc(wl: &Workload, gating: bool, compiled: bool) -> u64 {
     let cfg = SocConfig {
         gating,
-        compiled_schedule: compiled,
         ..SocConfig::default()
     };
-    let (r, ok, soc) = run_workload_soc(cfg, wl, 8_000_000);
-    assert!(ok && r.completed);
+    let mut soc = Soc::build(
+        cfg,
+        &orchestrator_program(),
+        &table_words(&wl.entries),
+        &wl.gmem_init,
+    );
+    if !compiled {
+        soc.sim_mut().disarm_plan();
+    }
+    let r = soc.run(8_000_000);
+    assert!(r.completed);
+    for (base, expect) in &wl.expected {
+        assert_eq!(&soc.gmem_read(*base, expect.len()), expect);
+    }
     assert_eq!(soc.sim().plan_armed(), compiled && gating);
     soc.sim().instants()
 }

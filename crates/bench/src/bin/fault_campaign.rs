@@ -556,10 +556,7 @@ fn batch_campaign(lanes_per_mode: u64) -> Vec<BatchModeRow> {
     // schedule. The serial comparator gets the same config —
     // `inject_fault` de-opts it to the interpreted path, exactly as
     // each batch de-opt replay de-opts itself.
-    let cfg = SocConfig {
-        compiled_schedule: true,
-        ..SocConfig::default()
-    };
+    let cfg = SocConfig::default();
     let _quiet = SilentPanicGuard::new();
     Mode::ALL
         .iter()

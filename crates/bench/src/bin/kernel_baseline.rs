@@ -17,7 +17,9 @@
 //! `--workload <name>` restricts the run to one workload (CI smoke
 //! runs use this; the JSON is only written for full runs so a filtered
 //! smoke never clobbers the committed baseline with partial rows).
-//! `smoke` is an alias for the cheapest workload (vec_mul).
+//! `smoke` is an alias for the cheapest workload (vec_mul). Any
+//! argument not listed here (`--help` included) prints usage and exits
+//! nonzero before anything runs or is written.
 //! `--compiled-schedule` runs a compiled-plan smoke instead of the
 //! full sweep: interpreted vs compiled instant plan on the selected
 //! workloads, asserting cycle-identical results, a clean (de-opt-free)
@@ -70,7 +72,7 @@ use craft_soc::workloads::{
 };
 use craft_soc::{
     build_engine, partition_search, replay_lane_solo, BatchSoc, EngineKind, LaneSpec, NodeCosts,
-    ParallelSoc, PartitionSpec, SegmentStatus, Soc, SocConfig,
+    ParallelSoc, PartitionSpec, RunResult, SegmentStatus, Soc, SocConfig,
 };
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -134,11 +136,9 @@ fn run_compiled_one(wl: &Workload) -> CompiledRow {
     let cfg = SocConfig {
         fidelity: Fidelity::SimAccurate,
         gating: true,
-        compiled_schedule: true,
         ..SocConfig::default()
     };
-    let (result, ok, soc) = run_workload_soc(cfg, wl, 8_000_000);
-    assert!(ok && result.completed, "{}: compiled run failed", wl.name);
+    let (result, soc) = run_soc(cfg, wl, false);
     assert!(
         soc.sim().plan_armed(),
         "{}: steady-state run must stay on the fast path",
@@ -192,10 +192,7 @@ struct BatchRow {
 /// golden schedule, sim-accurate) and spot-checks lane 0 against its
 /// solo replay.
 fn run_batch_one(wl: &Workload, lanes: u64) -> BatchRow {
-    let cfg = SocConfig {
-        compiled_schedule: true,
-        ..SocConfig::default()
-    };
+    let cfg = SocConfig::default();
     let program = orchestrator_program();
     let table = table_words(&wl.entries);
     let specs: Vec<LaneSpec> = (0..lanes)
@@ -475,10 +472,7 @@ fn run_repartition_smoke(wl: &Workload) {
 fn run_deopt_smoke(wl: &Workload) {
     let tel = Telemetry::new();
     let mut soc = Soc::build_with_telemetry(
-        SocConfig {
-            compiled_schedule: true,
-            ..SocConfig::default()
-        },
+        SocConfig::default(),
         &orchestrator_program(),
         &table_words(&wl.entries),
         &wl.gmem_init,
@@ -509,14 +503,41 @@ fn run_deopt_smoke(wl: &Workload) {
     );
 }
 
+/// Runs `wl` to completion on a fresh sequential [`Soc`] — on the
+/// interpreted loop (the plan disarmed right after build) when
+/// `interpreted`, else on the schedule the kernel chose — asserting
+/// the run completes and every expected memory region verifies.
+fn run_soc(cfg: SocConfig, wl: &Workload, interpreted: bool) -> (RunResult, Soc) {
+    let mut soc = Soc::build(
+        cfg,
+        &orchestrator_program(),
+        &table_words(&wl.entries),
+        &wl.gmem_init,
+    );
+    if interpreted {
+        soc.sim_mut().disarm_plan();
+    }
+    let result = soc.run(8_000_000);
+    assert!(result.completed, "{}: run failed", wl.name);
+    for (base, expect) in &wl.expected {
+        assert_eq!(
+            &soc.gmem_read(*base, expect.len()),
+            expect,
+            "{}: result mismatch",
+            wl.name
+        );
+    }
+    (result, soc)
+}
+
+/// One interpreted-loop baseline row, gating on or off.
 fn run_one(wl: &Workload, fidelity: Fidelity, gating: bool) -> Row {
     let cfg = SocConfig {
         fidelity,
         gating,
         ..SocConfig::default()
     };
-    let (result, ok, soc) = run_workload_soc(cfg, wl, 8_000_000);
-    assert!(ok && result.completed, "{}: run failed", wl.name);
+    let (result, soc) = run_soc(cfg, wl, true);
     let wall_s = result.wall.as_secs_f64();
     let instants = soc.sim().instants();
     Row {
@@ -566,6 +587,46 @@ fn run_engine_one(wl: &Workload, fidelity: Fidelity, kind: EngineKind) -> (u64, 
         );
     }
     (result.cycles, result.wall.as_secs_f64())
+}
+
+/// Presence flags this bin understands (each selects a smoke mode).
+const FLAGS: [&str; 5] = [
+    "deopt-smoke",
+    "batch",
+    "compiled-schedule",
+    "partition",
+    "repartition-smoke",
+];
+/// Flags that take a value, as `--<flag> <value>` or `--<flag>=<value>`.
+const VALUE_FLAGS: [&str; 3] = ["workload", "telemetry", "threads"];
+
+const USAGE: &str = "usage: kernel_baseline [--workload <dot_product|vec_mul|smoke>] \
+    [--telemetry <path>] [--threads <1|2|4|8>] [--compiled-schedule] [--deopt-smoke] \
+    [--batch] [--partition] [--repartition-smoke]";
+
+/// Checks every command-line argument against [`FLAGS`] and
+/// [`VALUE_FLAGS`] before anything runs, so a typo (or `--help`) can
+/// never fall through to the full sweep and rewrite the committed
+/// baseline.
+fn check_args(args: &[String]) -> Result<(), String> {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let name = a.strip_prefix("--").unwrap_or_default();
+        if FLAGS.contains(&name) {
+            continue;
+        }
+        if VALUE_FLAGS.contains(&name) {
+            it.next().ok_or_else(|| format!("{a} needs a value"))?;
+            continue;
+        }
+        let valued = name
+            .split_once('=')
+            .is_some_and(|(flag, _)| VALUE_FLAGS.contains(&flag));
+        if !valued {
+            return Err(format!("unknown argument {a:?}"));
+        }
+    }
+    Ok(())
 }
 
 /// True when the bare presence flag `--<flag>` is on the command line.
@@ -625,6 +686,11 @@ fn emit_telemetry_snapshot(wl: &Workload, path: &str) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = check_args(&args) {
+        eprintln!("kernel_baseline: {e}\n{USAGE}");
+        return ExitCode::from(2);
+    }
     match run() {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -1174,4 +1240,36 @@ fn run() -> Result<(), String> {
         eprintln!("warning: headline speedup below 1.5x — run with --release on an idle machine");
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::check_args;
+
+    fn check(args: &[&str]) -> Result<(), String> {
+        check_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn known_flags_pass() {
+        assert!(check(&[]).is_ok());
+        assert!(check(&["--workload", "smoke", "--compiled-schedule"]).is_ok());
+        assert!(check(&["--workload=vec_mul", "--threads", "4"]).is_ok());
+        assert!(check(&["--telemetry", "out.json", "--deopt-smoke"]).is_ok());
+    }
+
+    #[test]
+    fn unknown_or_incomplete_arguments_are_rejected() {
+        for bad in [
+            &["--help"][..],
+            &["--bogus"],
+            &["vec_mul"],
+            &["--workload"],
+            &["--batch=1"],
+            &["--bogus=1"],
+            &["--workload", "smoke", "-h"],
+        ] {
+            assert!(check(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
 }

@@ -4,26 +4,11 @@
 //! wire output (no serde in the offline build), so correctness is
 //! enforced at the seams instead: [`validate_json`] is a tiny
 //! recursive-descent checker run over every emitted document in CI
-//! and in the serve client, and [`json_escape`] is the one string
-//! escaper those emitters share.
+//! and in the serve client, and [`json_escape`] (re-exported from
+//! `craft-sim`, whose telemetry snapshots use it too) is the one
+//! string escaper those emitters share.
 
-/// Escapes `s` for embedding inside a JSON string literal: quotes,
-/// backslashes and control characters.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+pub use craft_sim::json_escape;
 
 /// Validates that `s` is one well-formed JSON value (with nothing but
 /// whitespace after it), returning the parse-failure position on error.

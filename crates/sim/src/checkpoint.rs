@@ -27,7 +27,7 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"CRFTSNAP";
 /// Current snapshot format version. Bump on any incompatible layout
 /// change; readers reject other versions with
 /// [`CheckpointError::UnsupportedVersion`].
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Why a checkpoint could not be saved, loaded, or restored.
 #[derive(Debug, Clone, PartialEq, Eq)]

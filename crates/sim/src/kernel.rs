@@ -67,7 +67,7 @@ use crate::checkpoint::{KernelDigest, WatchdogState};
 use crate::clock::{ClockId, ClockSpec, ClockState};
 use crate::component::{ClockRequest, Component, Sequential, TickCtx};
 use crate::error::{CompDiag, HangReport, SimError};
-use crate::plan::{PlanDesc, PlanNode, PlanReject, PlanState};
+use crate::plan::{PlanReject, PlanState};
 use crate::telemetry::TickProfile;
 use crate::time::Picoseconds;
 use std::cell::{Cell, RefCell};
@@ -1054,34 +1054,6 @@ impl Simulator {
     /// Live handle to the armed flag (1 armed / 0 not), for telemetry.
     pub fn plan_armed_handle(&self) -> Rc<Cell<u64>> {
         Rc::clone(&self.plan_armed_flag)
-    }
-
-    /// Snapshot of the armed plan's frozen schedule (`None` when
-    /// interpreted). `craft-soc`'s `schedplan` renders this as the
-    /// instant-plan IR.
-    pub fn plan_desc(&self) -> Option<PlanDesc> {
-        let plan = self.plan.as_ref()?;
-        Some(PlanDesc {
-            clocks: plan
-                .clocks
-                .iter()
-                .map(|&ci| self.clocks[ci].spec.name.clone())
-                .collect(),
-            nodes: plan
-                .order
-                .iter()
-                .map(|&idx| {
-                    let e = &self.components[idx as usize];
-                    PlanNode {
-                        name: e.component.name().to_string(),
-                        clock: self.clocks[e.clock.0].spec.name.clone(),
-                        gated: e.wake.is_some(),
-                    }
-                })
-                .collect(),
-            gated_sequentials: plan.seq_order.len() - plan.always.len(),
-            always_commit_sequentials: plan.always.len(),
-        })
     }
 
     /// The compiled evaluate phase: wake-candidate drain, then a tick
@@ -2527,21 +2499,6 @@ mod tests {
         assert_eq!(r0.components.len(), r1.components.len());
         assert_eq!(r0.components[0].wait, r1.components[0].wait);
         assert_eq!(r0.components[0].asleep, r1.components[0].asleep);
-    }
-
-    /// `plan_desc` exposes the frozen schedule for introspection.
-    #[test]
-    fn plan_desc_reflects_schedule() {
-        let mut f = plan_fixture();
-        assert!(f.sim.plan_desc().is_none());
-        f.sim.arm_plan().expect("arms");
-        let desc = f.sim.plan_desc().expect("armed");
-        assert_eq!(desc.clocks, vec!["c".to_string()]);
-        let names: Vec<&str> = desc.nodes.iter().map(|n| n.name.as_str()).collect();
-        assert_eq!(names, vec!["early", "driver", "late"]);
-        assert!(desc.nodes[0].gated && !desc.nodes[1].gated && desc.nodes[2].gated);
-        assert_eq!(desc.gated_sequentials, 1);
-        assert_eq!(desc.always_commit_sequentials, 1);
     }
 
     /// Tick profiling attributes every delivered tick and never

@@ -69,7 +69,7 @@ pub use parallel::{
     publish_hang_idle, run_parallel, EpochOutcome, EpochSync, EpochVerdict, EpochWorker,
     SpinBarrier, WaitHist, WAIT_HIST_BUCKETS,
 };
-pub use plan::{PlanDesc, PlanNode, PlanReject};
-pub use telemetry::{TelLaneCounters, Telemetry, TelemetrySnapshot, TickProfile};
+pub use plan::PlanReject;
+pub use telemetry::{json_escape, TelLaneCounters, Telemetry, TelemetrySnapshot, TickProfile};
 pub use time::Picoseconds;
 pub use trace::{SignalId, Trace};

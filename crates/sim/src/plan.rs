@@ -121,30 +121,3 @@ impl std::fmt::Display for PlanReject {
         f.write_str(s)
     }
 }
-
-/// One scheduled node op in an armed plan, for introspection
-/// (`craft-soc`'s `schedplan` renders these as the plan IR).
-#[derive(Debug, Clone)]
-pub struct PlanNode {
-    /// Component name as registered.
-    pub name: String,
-    /// Clock domain name.
-    pub clock: String,
-    /// Whether the node participates in quiescence gating (has a wake
-    /// token) — gated nodes are skipped while asleep, ungated nodes
-    /// tick every instant.
-    pub gated: bool,
-}
-
-/// Snapshot of an armed plan's frozen schedule.
-#[derive(Debug, Clone)]
-pub struct PlanDesc {
-    /// Names of the clocks the plan drives (uniform period/phase).
-    pub clocks: Vec<String>,
-    /// Node ops in execution (rank) order.
-    pub nodes: Vec<PlanNode>,
-    /// Sequentials committed only when dirty.
-    pub gated_sequentials: usize,
-    /// Sequentials committed unconditionally every instant.
-    pub always_commit_sequentials: usize,
-}

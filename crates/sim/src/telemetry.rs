@@ -593,7 +593,9 @@ impl TelemetrySnapshot {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
+/// Escapes `s` for embedding inside a JSON string literal: quotes,
+/// backslashes and control characters. The one escaper every JSON
+/// emitter in the workspace shares.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

@@ -5,11 +5,12 @@
 //! the fault decisions a seeded injector draws. Until a lane's fault
 //! first perturbs the token stream, its trajectory is bit-identical to
 //! the fault-free golden run. [`BatchSoc`] exploits that: it advances
-//! **one** golden simulation (which may keep the compiled instant plan
-//! of [`crate::schedplan`] armed, since no real injector is attached)
-//! and replays every lane's fault *decisions* against the golden token
-//! stream through shadow [`craft_connections::FaultLaneBank`]s laid
-//! out as lane-indexed arrays on each matched channel:
+//! **one** golden simulation (which keeps the kernel's compiled
+//! instant plan armed wherever it applies, since no real injector is
+//! attached) and replays every lane's fault *decisions* against the
+//! golden token stream through shadow
+//! [`craft_connections::FaultLaneBank`]s laid out as lane-indexed
+//! arrays on each matched channel:
 //!
 //! ```text
 //!                 ┌───────────── golden Soc ─────────────┐

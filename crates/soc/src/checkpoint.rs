@@ -257,7 +257,6 @@ fn save_cfg(cfg: &SocConfig, w: &mut StateWriter) {
     });
     w.put_bool(cfg.gating);
     w.put_opt_u64(cfg.pe_timeout);
-    w.put_bool(cfg.compiled_schedule);
     w.put_opt_u64(cfg.checkpoint_every);
 }
 
@@ -299,7 +298,6 @@ fn load_cfg(r: &mut StateReader<'_>) -> Result<SocConfig, CheckpointError> {
         router,
         gating: r.get_bool()?,
         pe_timeout: r.get_opt_u64()?,
-        compiled_schedule: r.get_bool()?,
         checkpoint_every: r.get_opt_u64()?,
     };
     cfg.validate()

@@ -45,7 +45,6 @@ pub mod parallel;
 pub mod partition;
 pub mod pe;
 pub mod rtlplan;
-pub mod schedplan;
 pub mod soc;
 pub mod workloads;
 
@@ -57,7 +56,6 @@ pub use parallel::{partition, ParallelSoc, ShardStats};
 pub use partition::{partition_search, NodeCosts, PartitionError, PartitionSpec, MAX_SHARDS};
 pub use pe::{Fidelity, PeConfig, PeStats, ProcessingElement};
 pub use rtlplan::{DpEval, DpOp, EvalPlan, PlanCache, PlanStats, SignalPlan};
-pub use schedplan::{PlanOp, PlanOpKind, SchedPlanSummary};
 pub use soc::{
     ClockingMode, ConfigError, FaultPatternError, FaultReport, HubReport, NocReport, PeReport,
     RouterKind, RunResult, Soc, SocConfig, SocConfigBuilder, SocReport,

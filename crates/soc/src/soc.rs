@@ -104,18 +104,6 @@ pub struct SocConfig {
     /// `None` (the default) disables detection; set it well above the
     /// worst-case command latency to avoid false positives.
     pub pe_timeout: Option<u64>,
-    /// Compile the steady-state schedule into the kernel's instant
-    /// plan ([`craft_sim::Simulator::arm_plan`]): the per-clock
-    /// dispatch scan is lowered at build time into a flat worklist the
-    /// kernel executes dispatch-lean. Strictly opportunistic — arming
-    /// requires a uniform unpaused clock schedule with gating on (the
-    /// `Synchronous` default qualifies), and the kernel de-opts back
-    /// to the interpreted golden path on any irregular event (fault
-    /// injection, watchdog trips, clock pause/stretch, structural
-    /// change). Outcomes are bit- and cycle-identical either way
-    /// (asserted by the `compiled_schedule_tests`); only wall clock
-    /// changes.
-    pub compiled_schedule: bool,
     /// Periodic auto-checkpoint interval for supervised runs, in hub
     /// cycles: `Some(k)` makes [`Soc::run_checked`] (and the parallel
     /// facade's equivalent) capture a [`crate::SimSnapshot`] every `k`
@@ -140,7 +128,6 @@ impl Default for SocConfig {
             router: RouterKind::Wormhole,
             gating: true,
             pe_timeout: None,
-            compiled_schedule: false,
             checkpoint_every: None,
         }
     }
@@ -298,12 +285,6 @@ impl SocConfigBuilder {
     /// Arms hub-side PE failure detection with the given timeout.
     pub fn pe_timeout(mut self, v: Option<u64>) -> Self {
         self.cfg.pe_timeout = v;
-        self
-    }
-
-    /// Enables or disables the compiled instant-plan schedule.
-    pub fn compiled_schedule(mut self, v: bool) -> Self {
-        self.cfg.compiled_schedule = v;
         self
     }
 
@@ -1306,12 +1287,15 @@ impl Soc {
 
         // --- Compiled instant plan ---
         // Lower the steady-state schedule last, once the full component
-        // and sequential rosters exist. Opportunistic by contract:
-        // every rejection (GALS clock spreads, gating off, profiling
-        // on) just leaves the interpreted path in charge. PE-failure
-        // detection is excluded conservatively — a remap storm is
-        // exactly the irregular regime the plan is not built for.
-        if cfg.compiled_schedule && cfg.pe_timeout.is_none() {
+        // and sequential rosters exist. Always attempted, opportunistic
+        // by contract: every rejection (GALS clock spreads, gating off
+        // — including the RTL fidelities — profiling on) just leaves
+        // the interpreted path in charge, and outcomes are bit- and
+        // cycle-identical either way (the `compiled_schedule_tests`).
+        // PE-failure detection is excluded conservatively — a remap
+        // storm is exactly the irregular regime the plan is not built
+        // for.
+        if cfg.pe_timeout.is_none() {
             let _ = sim.arm_plan();
         }
 
@@ -1568,17 +1552,6 @@ impl Soc {
     /// compiled-plan harness) that step the kernel phase by phase.
     pub fn sim_mut(&mut self) -> &mut Simulator {
         &mut self.sim
-    }
-
-    /// The armed compiled instant plan, classified into SoC-level op
-    /// kinds ([`crate::schedplan`]), or `None` when no plan is armed —
-    /// either [`SocConfig::compiled_schedule`] was off, arming was
-    /// declined (GALS spreads, gating off), or the kernel has since
-    /// de-opted to the interpreted path.
-    pub fn sched_plan(&self) -> Option<crate::schedplan::SchedPlanSummary> {
-        self.sim
-            .plan_desc()
-            .map(|d| crate::schedplan::SchedPlanSummary::from_desc(&d))
     }
 
     /// Whether the controller has executed its halt (`ecall`) — the
@@ -2321,23 +2294,45 @@ mod rtl_compiled_tests {
 #[cfg(test)]
 mod compiled_schedule_tests {
     use super::*;
-    use crate::schedplan::PlanOpKind;
-    use crate::workloads::{dot_product, run_workload_soc, vec_mul, Workload};
+    use crate::engine::{build_engine, EngineKind};
+    use crate::workloads::{dot_product, orchestrator_program, table_words, vec_mul, Workload};
 
-    fn compiled(cfg: SocConfig) -> SocConfig {
-        SocConfig {
-            compiled_schedule: true,
-            ..cfg
-        }
+    fn build(cfg: SocConfig, wl: &Workload, tel: Option<Telemetry>) -> Soc {
+        Soc::build_with_telemetry(
+            cfg,
+            &orchestrator_program(),
+            &table_words(&wl.entries),
+            &wl.gmem_init,
+            tel,
+        )
     }
 
-    /// Runs `wl` interpreted and compiled and asserts every
-    /// architecturally visible outcome is bit-identical — the plan's
-    /// golden-reference contract. Returns the compiled `Soc` for
-    /// plan-state assertions.
+    /// Runs `wl` to completion on a fresh `Soc` — on the interpreted
+    /// golden loop when `interpreted` (the plan disarmed right after
+    /// build), else on whatever schedule the kernel chose — and
+    /// verifies the results against the workload's golden model.
+    fn run(cfg: SocConfig, wl: &Workload, interpreted: bool) -> (RunResult, bool, Soc) {
+        let mut soc = build(cfg, wl, None);
+        if interpreted {
+            soc.sim_mut().disarm_plan();
+        }
+        let r = soc.run(8_000_000);
+        let ok = r.completed
+            && wl
+                .expected
+                .iter()
+                .all(|(base, expect)| &soc.gmem_read(*base, expect.len()) == expect);
+        (r, ok, soc)
+    }
+
+    /// Runs `wl` interpreted and on the kernel's default schedule and
+    /// asserts every architecturally visible outcome is bit-identical
+    /// — the plan's golden-reference contract. Returns the default
+    /// `Soc` for plan-state assertions.
     fn assert_plan_matches_interpreted(cfg: SocConfig, wl: &Workload) -> Soc {
-        let (ri, ok_i, soc_i) = run_workload_soc(cfg, wl, 8_000_000);
-        let (rc, ok_c, soc_c) = run_workload_soc(compiled(cfg), wl, 8_000_000);
+        let (ri, ok_i, soc_i) = run(cfg, wl, true);
+        let (rc, ok_c, soc_c) = run(cfg, wl, false);
+        assert!(!soc_i.sim().plan_armed(), "reference must be interpreted");
         assert!(ok_i, "{}: interpreted run failed", wl.name);
         assert!(ok_c, "{}: compiled run failed", wl.name);
         assert_eq!(ri.cycles, rc.cycles, "{}: cycle counts differ", wl.name);
@@ -2373,6 +2368,34 @@ mod compiled_schedule_tests {
         soc_c
     }
 
+    /// The default configuration runs the compiled plan, on the
+    /// sequential `Soc` and on the `soc` engine alike — no option
+    /// selects it.
+    #[test]
+    fn plan_is_armed_by_default() {
+        let wl = vec_mul();
+        assert!(build(SocConfig::default(), &wl, None).sim().plan_armed());
+        let engine = build_engine(
+            EngineKind::Soc,
+            SocConfig::default(),
+            &orchestrator_program(),
+            &table_words(&wl.entries),
+            &wl.gmem_init,
+            &[],
+            true,
+        )
+        .expect("default config builds");
+        let armed = engine
+            .telemetry_snapshot()
+            .expect("sink attached")
+            .metrics
+            .iter()
+            .find(|m| m.path == "sim.plan.armed")
+            .expect("plan probe registered")
+            .value;
+        assert_eq!(armed, 1, "the soc engine must run the compiled plan");
+    }
+
     #[test]
     fn compiled_identical_vec_mul() {
         let soc = assert_plan_matches_interpreted(SocConfig::default(), &vec_mul());
@@ -2401,24 +2424,6 @@ mod compiled_schedule_tests {
         assert_plan_matches_interpreted(cfg, &vec_mul());
     }
 
-    #[test]
-    fn compiled_identical_rtl_fidelities() {
-        // RTL modes auto-disable gating, which also blocks arming —
-        // the flag must still be a no-op semantically.
-        for fidelity in [Fidelity::Rtl, Fidelity::RtlCompiled] {
-            let cfg = SocConfig {
-                fidelity,
-                ..SocConfig::default()
-            };
-            let soc = assert_plan_matches_interpreted(cfg, &vec_mul());
-            assert!(
-                !soc.sim().plan_armed(),
-                "{fidelity:?}: gating is off, the plan must not arm"
-            );
-            assert_eq!(soc.sim().plan_instants(), 0);
-        }
-    }
-
     /// Satellite: RTL-fidelity runs auto-disable activity gating (it
     /// was measured *costing* wall clock there — the RTL PEs and hub
     /// re-evaluate every gate each cycle and never quiesce).
@@ -2430,7 +2435,7 @@ mod compiled_schedule_tests {
                 gating: true,
                 ..SocConfig::default()
             };
-            let (_, ok, soc) = run_workload_soc(cfg, &vec_mul(), 8_000_000);
+            let (_, ok, soc) = run(cfg, &vec_mul(), false);
             assert!(ok);
             assert!(
                 !soc.sim().gating(),
@@ -2438,50 +2443,96 @@ mod compiled_schedule_tests {
             );
         }
         // Sim-accurate mode keeps the configured value.
-        let (_, ok, soc) = run_workload_soc(SocConfig::default(), &vec_mul(), 8_000_000);
+        let (_, ok, soc) = run(SocConfig::default(), &vec_mul(), false);
         assert!(ok && soc.sim().gating(), "sim_accurate keeps gating on");
         let off = SocConfig {
             gating: false,
             ..SocConfig::default()
         };
-        let (_, ok, soc) = run_workload_soc(off, &vec_mul(), 8_000_000);
+        let (_, ok, soc) = run(off, &vec_mul(), false);
         assert!(ok && !soc.sim().gating());
     }
 
-    /// De-opt trigger: arming is declined outright under GALS clocking
-    /// (per-node clocks break the uniform-schedule precondition) and
-    /// with PE-failure detection armed (timeouts mean remap storms).
+    /// Every configuration `arm_plan` rejects — the RTL fidelities
+    /// (gating auto-disabled), GALS clocking (per-node clocks break
+    /// the uniform-schedule precondition), gating off and tick
+    /// profiling — and PE-failure detection (timeouts mean remap
+    /// storms) runs on the interpreted loop from its first instant,
+    /// and still verifies.
     #[test]
-    fn irregular_configs_never_arm() {
-        let gals = SocConfig {
-            clocking: ClockingMode::Gals { spread_ppm: 2000 },
-            ..SocConfig::default()
-        };
-        let (r, ok, soc) = run_workload_soc(compiled(gals), &vec_mul(), 8_000_000);
-        assert!(r.completed && ok, "GALS + compiled flag must still verify");
-        assert!(!soc.sim().plan_armed(), "GALS must decline to arm");
-        assert_eq!(soc.sim().plan_instants(), 0);
-
-        let timeout = SocConfig {
-            pe_timeout: Some(20_000),
-            ..SocConfig::default()
-        };
-        let (r, ok, soc) = run_workload_soc(compiled(timeout), &vec_mul(), 8_000_000);
-        assert!(r.completed && ok);
-        assert!(!soc.sim().plan_armed(), "pe_timeout must decline to arm");
+    fn rejecting_configs_stay_interpreted() {
+        let def = SocConfig::default();
+        let cases = [
+            (
+                "rtl",
+                SocConfig {
+                    fidelity: Fidelity::Rtl,
+                    ..def
+                },
+                false,
+            ),
+            (
+                "rtl_compiled",
+                SocConfig {
+                    fidelity: Fidelity::RtlCompiled,
+                    ..def
+                },
+                false,
+            ),
+            (
+                "gals",
+                SocConfig {
+                    clocking: ClockingMode::Gals { spread_ppm: 2000 },
+                    ..def
+                },
+                false,
+            ),
+            (
+                "gating_off",
+                SocConfig {
+                    gating: false,
+                    ..def
+                },
+                false,
+            ),
+            (
+                "pe_timeout",
+                SocConfig {
+                    pe_timeout: Some(20_000),
+                    ..def
+                },
+                false,
+            ),
+            ("tick_profiling", def, true),
+        ];
+        let wl = vec_mul();
+        for (name, cfg, profile) in cases {
+            let tel = profile.then(|| {
+                let tel = Telemetry::new();
+                tel.set_profiling(true);
+                tel
+            });
+            let mut soc = build(cfg, &wl, tel);
+            assert!(!soc.sim().plan_armed(), "{name}: must decline to arm");
+            let r = soc.run(8_000_000);
+            assert!(r.completed, "{name}: interpreted run must complete");
+            for (base, expect) in &wl.expected {
+                assert_eq!(&soc.gmem_read(*base, expect.len()), expect, "{name}");
+            }
+            assert_eq!(soc.sim().plan_instants(), 0, "{name}");
+            assert_eq!(soc.sim().plan_deopt_count(), 0, "{name}");
+        }
+        // Declining to arm changes nothing observable at RTL fidelity.
+        for fidelity in [Fidelity::Rtl, Fidelity::RtlCompiled] {
+            assert_plan_matches_interpreted(SocConfig { fidelity, ..def }, &wl);
+        }
     }
 
     /// De-opt trigger: arming a fault injector disarms the plan before
     /// the campaign starts, and the degraded run still verifies.
     #[test]
     fn fault_injection_deopts_to_interpreted() {
-        let wl = vec_mul();
-        let mut soc = Soc::build(
-            compiled(SocConfig::default()),
-            &crate::workloads::orchestrator_program(),
-            &crate::workloads::table_words(&wl.entries),
-            &wl.gmem_init,
-        );
+        let mut soc = build(SocConfig::default(), &vec_mul(), None);
         assert!(soc.sim().plan_armed(), "plan armed at build");
         assert!(
             soc.inject_fault("n5.eject", FaultConfig::bit_flip(0.01), 7)
@@ -2494,50 +2545,11 @@ mod compiled_schedule_tests {
         assert!(r.completed, "interpreted fallback must still run");
     }
 
-    /// The armed plan's frozen schedule is introspectable as the
-    /// instant-plan IR and covers the whole floorplan.
-    #[test]
-    fn sched_plan_ir_describes_the_floorplan() {
-        let wl = vec_mul();
-        let soc = Soc::build(
-            compiled(SocConfig::default()),
-            &crate::workloads::orchestrator_program(),
-            &crate::workloads::table_words(&wl.entries),
-            &wl.gmem_init,
-        );
-        let plan = soc.sched_plan().expect("armed plan is introspectable");
-        assert_eq!(plan.count(PlanOpKind::Pe), 15, "15 mesh PEs");
-        assert_eq!(plan.count(PlanOpKind::Router), 16, "16 mesh routers");
-        assert!(plan.count(PlanOpKind::Hub) >= 1, "hub node present");
-        assert!(plan.count(PlanOpKind::Controller) >= 1, "RISC-V controller");
-        assert!(plan.gated_sequentials > 0, "LI channels are gated");
-        let ir = plan.to_string();
-        assert!(ir.starts_with("plan(clocks = ["), "IR header: {ir}");
-        assert!(ir.contains("%0"), "IR renders ranked ops: {ir}");
-        assert!(ir.contains(".tick @"), "IR names each op's clock: {ir}");
-        // Interpreted builds expose no plan.
-        let soc_i = Soc::build(
-            SocConfig::default(),
-            &crate::workloads::orchestrator_program(),
-            &crate::workloads::table_words(&wl.entries),
-            &wl.gmem_init,
-        );
-        assert!(soc_i.sched_plan().is_none());
-    }
-
     /// The `sim.plan.*` telemetry probes publish the armed flag, the
     /// fast-path instant count and the de-opt counter.
     #[test]
     fn telemetry_reports_plan_counters() {
-        let wl = vec_mul();
-        let tel = craft_sim::Telemetry::new();
-        let mut soc = Soc::build_with_telemetry(
-            compiled(SocConfig::default()),
-            &crate::workloads::orchestrator_program(),
-            &crate::workloads::table_words(&wl.entries),
-            &wl.gmem_init,
-            Some(tel),
-        );
+        let mut soc = build(SocConfig::default(), &vec_mul(), Some(Telemetry::new()));
         let r = soc.run(8_000_000);
         assert!(r.completed);
         let snap = soc.telemetry_snapshot().expect("sink attached");

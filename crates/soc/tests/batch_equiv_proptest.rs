@@ -5,8 +5,9 @@
 //! [`Soc`] run of the same `(pattern, fault config, seed)` triple:
 //! same cycle count and completion, same full [`SocReport`], same
 //! fault statistics, same global memory. Random workload × fidelity ×
-//! fault-class/probability/seed vectors, with the golden run's
-//! compiled instant plan drawn in and out.
+//! fault-class/probability/seed vectors; the golden run keeps the
+//! kernel's compiled instant plan wherever it arms, the solo
+//! references run the interpreted loop.
 
 use craft_connections::FaultConfig;
 use craft_soc::batch::{BatchSoc, LaneSpec};
@@ -37,6 +38,7 @@ fn solo_outcome(cfg: SocConfig, wl: &Workload, spec: &LaneSpec) -> Outcome {
     let table = table_words(&wl.entries);
     let ran = catch_unwind(AssertUnwindSafe(|| {
         let mut soc = Soc::build(cfg, &program, &table, &wl.gmem_init);
+        soc.sim_mut().disarm_plan();
         soc.inject_fault(&spec.pattern, spec.cfg, spec.seed)
             .expect("pattern matches");
         let res = soc.run_checked(MAX_CYCLES, NO_PROGRESS);
@@ -82,7 +84,6 @@ proptest! {
             Fidelity::Rtl,
             Fidelity::RtlCompiled,
         ]),
-        compiled_schedule: bool,
         lanes in prop::collection::vec(
             (
                 0usize..3, // fault class: flip / drop / dup
@@ -94,7 +95,7 @@ proptest! {
         deopt_seed in 0u64..1_000_000,
     ) {
         let wl = if workload_pick { vec_mul() } else { vec_add_scale() };
-        let cfg = SocConfig { fidelity, compiled_schedule, ..SocConfig::default() };
+        let cfg = SocConfig { fidelity, ..SocConfig::default() };
         let mut specs: Vec<LaneSpec> = lanes
             .iter()
             .map(|&(class, p, seed)| {

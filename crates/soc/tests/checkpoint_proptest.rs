@@ -136,6 +136,7 @@ proptest! {
         // those draws.
         let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut base = Soc::build(cfg, &program, &table, &wl.gmem_init);
+            base.sim_mut().disarm_plan();
             if let Some((pat, fc, seed)) = &fault {
                 base.inject_fault(pat, *fc, *seed).expect("pattern matches");
             }
@@ -369,6 +370,7 @@ fn mid_hang_checkpoint_reproduces_the_diagnosis() {
     let cfg = SocConfig::default();
 
     let mut base = Soc::build(cfg, &program, &table, &gmem_init);
+    base.sim_mut().disarm_plan();
     base.inject_fault("n5.eject", FaultConfig::drop(1.0), 3)
         .expect("channel exists");
     let base_err = base
@@ -476,6 +478,18 @@ fn damaged_snapshots_are_rejected_with_typed_errors() {
         }
         other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
+
+    // A version-1 frame (its recipe carried a since-removed schedule
+    // byte) is rejected, not misparsed.
+    let mut v1 = bytes.clone();
+    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    assert_eq!(
+        SimSnapshot::from_bytes(&v1).err(),
+        Some(CheckpointError::UnsupportedVersion {
+            found: 1,
+            supported: 2
+        })
+    );
 
     // Truncation → Truncated with the byte deficit.
     let cut = bytes.len() / 2;

@@ -1,7 +1,8 @@
 //! Property tests for the compiled instant-plan's golden-reference
-//! contract: with [`SocConfig::compiled_schedule`] on, the kernel's
+//! contract: wherever the kernel arms it (the default), its
 //! dispatch-free fast path must be **bit-, cycle- and
-//! report-identical** to the interpreted two-phase loop — same cycle
+//! report-identical** to the interpreted two-phase loop (reached
+//! through `Simulator::disarm_plan` right after build) — same cycle
 //! counts, same memory results, same `SocReport` down to per-channel
 //! fault statistics, same coverage bins and the same gating counters —
 //! across workloads, fidelities, clocking schemes and gating settings,
@@ -29,13 +30,18 @@ struct Outcome {
     commits_skipped: u64,
 }
 
-fn run_seq(cfg: SocConfig, wl: &Workload, max: u64) -> Outcome {
+/// One sequential run: on the interpreted golden loop when
+/// `interpreted`, else on whatever schedule the kernel chose.
+fn run_seq(cfg: SocConfig, wl: &Workload, max: u64, interpreted: bool) -> Outcome {
     let mut soc = Soc::build(
         cfg,
         &orchestrator_program(),
         &table_words(&wl.entries),
         &wl.gmem_init,
     );
+    if interpreted {
+        soc.sim_mut().disarm_plan();
+    }
     let r = soc.run(max);
     let mut verified = r.completed;
     for (base, expect) in &wl.expected {
@@ -107,13 +113,12 @@ proptest! {
         gating: bool,
         pick_dot: bool,
     ) {
-        let base = SocConfig { fidelity, clocking, gating, ..SocConfig::default() };
-        let compiled = SocConfig { compiled_schedule: true, ..base };
+        let cfg = SocConfig { fidelity, clocking, gating, ..SocConfig::default() };
         let wl = if pick_dot { dot_product() } else { vec_mul() };
-        let interp = run_seq(base, &wl, 4_000_000);
-        let fast = run_seq(compiled, &wl, 4_000_000);
-        prop_assert!(interp.verified, "interpreted baseline must verify ({base:?})");
-        prop_assert_eq!(interp, fast, "compiled schedule diverged ({:?})", base);
+        let interp = run_seq(cfg, &wl, 4_000_000, true);
+        let fast = run_seq(cfg, &wl, 4_000_000, false);
+        prop_assert!(interp.verified, "interpreted baseline must verify ({cfg:?})");
+        prop_assert_eq!(interp, fast, "compiled schedule diverged ({:?})", cfg);
     }
 }
 
@@ -145,7 +150,6 @@ fn plan_arms_exactly_in_the_steady_state_regime() {
             fidelity,
             clocking,
             gating,
-            compiled_schedule: true,
             ..SocConfig::default()
         };
         let wl = vec_mul();
@@ -174,11 +178,15 @@ fn hang_diagnosis_is_identical_under_the_compiled_plan() {
     let spin = vec![rv::jal(ZERO, 0)];
     let wl = vec_mul();
     let run = |compiled: bool| {
-        let cfg = SocConfig {
-            compiled_schedule: compiled,
-            ..SocConfig::default()
-        };
-        let mut soc = Soc::build(cfg, &spin, &table_words(&wl.entries), &wl.gmem_init);
+        let mut soc = Soc::build(
+            SocConfig::default(),
+            &spin,
+            &table_words(&wl.entries),
+            &wl.gmem_init,
+        );
+        if !compiled {
+            soc.sim_mut().disarm_plan();
+        }
         assert_eq!(soc.sim().plan_armed(), compiled);
         let err = soc
             .run_checked(2_000_000, 20_000)
@@ -225,15 +233,11 @@ fn hang_diagnosis_is_identical_under_the_compiled_plan() {
 #[test]
 fn compiled_schedule_composes_with_parallel_soc() {
     let wl = dot_product();
-    let base = SocConfig::default();
-    let compiled = SocConfig {
-        compiled_schedule: true,
-        ..base
-    };
-    let interp = run_seq(base, &wl, 4_000_000);
+    let cfg = SocConfig::default();
+    let interp = run_seq(cfg, &wl, 4_000_000, true);
     assert!(interp.verified, "sequential baseline must verify");
     for threads in [2usize, 8] {
-        let mut par = run_par(compiled, &wl, 4_000_000, threads);
+        let mut par = run_par(cfg, &wl, 4_000_000, threads);
         // Zeroed in run_par for the parallel side; copy over so the
         // struct equality below compares the architectural fields.
         par.ticks_delivered = interp.ticks_delivered;

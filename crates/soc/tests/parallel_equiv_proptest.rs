@@ -41,6 +41,8 @@ fn run_seq(cfg: SocConfig, wl: &Workload, max: u64) -> Outcome {
         &table_words(&wl.entries),
         &wl.gmem_init,
     );
+    // The golden reference is the interpreted loop, not the plan.
+    soc.sim_mut().disarm_plan();
     let r = soc.run(max);
     let mut verified = r.completed;
     for (base, expect) in &wl.expected {
@@ -139,6 +141,7 @@ proptest! {
         let table = table_words(&wl.entries);
 
         let mut seq = Soc::build(cfg, &program, &table, &wl.gmem_init);
+        seq.sim_mut().disarm_plan();
         let seq_matched = seq.inject_fault(pat, fault, seed).expect("pattern matches");
         prop_assert!(seq_matched > 0);
         let seq_run = seq.run_checked(2_000_000, 50_000);
@@ -233,6 +236,7 @@ fn hang_diagnosis_survives_sharding() {
     };
 
     let mut seq = Soc::build(SocConfig::default(), &program, &table, &gmem_init);
+    seq.sim_mut().disarm_plan();
     seq.inject_fault("n5.eject", FaultConfig::drop(1.0), 3)
         .expect("channel exists");
     let (seq_cycle, seq_ch, seq_hub) = run(seq
@@ -543,6 +547,7 @@ fn parallel_telemetry_merges_and_stays_invisible() {
     // sink's values row for row (paths under soc.* are architectural).
     let sink = craft_sim::Telemetry::new();
     let mut seq = Soc::build_with_telemetry(cfg, &program, &table, &wl.gmem_init, Some(sink));
+    seq.sim_mut().disarm_plan();
     let r_seq = seq.run(2_000_000);
     assert!(r_seq.completed);
     let seq_snap = seq.telemetry_snapshot().expect("sink attached");

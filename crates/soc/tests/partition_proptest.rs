@@ -33,6 +33,8 @@ fn run_seq(cfg: SocConfig, wl: &Workload, max: u64) -> Outcome {
         &table_words(&wl.entries),
         &wl.gmem_init,
     );
+    // The golden reference is the interpreted loop, not the plan.
+    soc.sim_mut().disarm_plan();
     let r = soc.run(max);
     let mut verified = r.completed;
     for (base, expect) in &wl.expected {
@@ -151,6 +153,7 @@ proptest! {
         let table = table_words(&wl.entries);
 
         let mut seq = Soc::build(cfg, &program, &table, &wl.gmem_init);
+        seq.sim_mut().disarm_plan();
         let seq_matched = seq.inject_fault(pat, fault, seed).expect("pattern matches");
         prop_assert!(seq_matched > 0);
         let seq_run = seq.run_checked(2_000_000, 50_000);

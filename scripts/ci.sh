@@ -15,6 +15,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
+echo "==> perfbench self-tests (own Cargo workspace: generated programs verify at SimAccurate and RtlCompiled)"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo bench --no-run (criterion harnesses compile)"
 cargo bench --workspace --no-run
 
